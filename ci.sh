@@ -12,6 +12,18 @@ cargo test --workspace -q
 cargo clippy --workspace --all-targets -- -D warnings \
     -D clippy::large_stack_arrays -D clippy::needless_collect
 
+# Benchmark lane: perfbench is a workspace of its own, so nothing above
+# compiles it. Build it against the current crates, run its own tests
+# (helpers, metric tables vs BENCHMARK.json), and smoke one short traced
+# fleet run, which must report "correct": true.
+cargo build --release -q --manifest-path perfbench/Cargo.toml
+cargo test -q --manifest-path perfbench/Cargo.toml
+PERF_RESULT=$(cargo run --release -q --manifest-path perfbench/Cargo.toml -- \
+    --workload fleet_steady --seconds 3 --trace 1 | tail -1)
+grep -q '"correct": true' <<<"$PERF_RESULT" \
+    || { echo "ci: perfbench smoke failed: ${PERF_RESULT:0:300}" >&2; exit 1; }
+echo "ci: perfbench smoke ok"
+
 # Trace-export lane: the exporter's unit tests plus the property layer
 # (round-trip, ring eviction, parser totality) run as part of tier 1.
 cargo test -q -p capmaestro-core trace

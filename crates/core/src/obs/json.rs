@@ -142,7 +142,9 @@ enum Value {
 
 /// Recursive-descent JSON reader over a byte slice.
 struct Reader<'a> {
-    /// Input bytes.
+    /// The input text.
+    src: &'a str,
+    /// Input bytes (`src.as_bytes()`).
     bytes: &'a [u8],
     /// Cursor into `bytes`.
     pos: usize,
@@ -279,13 +281,19 @@ impl<'a> Reader<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so
-                    // boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().ok_or_else(|| self.err("empty"))?;
-                    s.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or escape.
+                    // Both are ASCII, so the run ends on a char boundary
+                    // of the (already valid UTF-8) input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    let text = self
+                        .src
+                        .get(self.pos..self.pos + run)
+                        .ok_or_else(|| self.err("invalid utf-8"))?;
+                    s.push_str(text);
+                    self.pos += run;
                 }
             }
         }
@@ -382,6 +390,7 @@ fn as_objects<'v>(
 /// [`MetricsSnapshot`].
 pub fn parse(text: &str) -> Result<MetricsSnapshot, ParseError> {
     let mut reader = Reader {
+        src: text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -486,6 +495,49 @@ mod tests {
         };
         let back = parse(&snapshot(&snap)).expect("round trip");
         assert_eq!(back.gauges[0].value, f64::INFINITY);
+    }
+
+    #[test]
+    fn multi_byte_names_and_escapes_at_string_boundaries_round_trip() {
+        let names = [
+            "\"é\n🔌\t\"",
+            "é",
+            "日本語{server=\"π\"}",
+            "\\🔌",
+            "🔌\\",
+            "a\u{7f}ü\r",
+        ];
+        let snap = MetricsSnapshot {
+            counters: vec![],
+            gauges: names
+                .iter()
+                .map(|name| GaugeSample {
+                    name: name.to_string(),
+                    value: 1.5,
+                })
+                .collect(),
+            histograms: vec![],
+        };
+        assert_eq!(parse(&snapshot(&snap)).expect("round trip"), snap);
+    }
+
+    #[test]
+    fn unicode_escapes_next_to_raw_multi_byte_text_decode() {
+        let text = "{\"counters\": [{\"name\": \"\\u00e9é\\\\\", \"value\": 1}], \
+                    \"gauges\": [], \"histograms\": []}";
+        let snap = parse(text).expect("valid document");
+        assert_eq!(snap.counters[0].name, "éé\\");
+    }
+
+    #[test]
+    fn truncated_multi_byte_strings_fail_cleanly() {
+        for bad in [
+            "{\"counters\": [{\"name\": \"é",
+            "{\"counters\": [{\"name\": \"🔌\\",
+            "{\"counters\": [{\"name\": \"\\u00é\", \"value\": 1}]}",
+        ] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]

@@ -103,18 +103,20 @@ where
     out
 }
 
-/// Maps `f` over a mutable slice, fanning out across up to `threads`
-/// scoped threads. Results come back in input order, so the output is
-/// independent of the thread count (see [`par_map`]).
+/// Maps `f` over a mutable slice with each item's index, fanning out
+/// across up to `threads` scoped threads. Results come back in input
+/// order, so the output is independent of the thread count (see
+/// [`par_map`]). The index lets callers read a parallel lane (e.g. the
+/// reading for the same farm slot) without zipping it into the slice.
 pub fn par_map_mut<T, R, F>(items: &mut [T], threads: usize, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
-    F: Fn(&mut T) -> R + Sync,
+    F: Fn(usize, &mut T) -> R + Sync,
 {
     let threads = threads.clamp(1, items.len().max(1));
     if threads == 1 {
-        return items.iter_mut().map(f).collect();
+        return items.iter_mut().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let chunk = items.len().div_ceil(threads);
     let f = &f;
@@ -122,7 +124,17 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = items
             .chunks_mut(chunk)
-            .map(|slice| scope.spawn(move || slice.iter_mut().map(f).collect::<Vec<R>>()))
+            .enumerate()
+            .map(|(c, slice)| {
+                scope.spawn(move || {
+                    let base = c * chunk;
+                    slice
+                        .iter_mut()
+                        .enumerate()
+                        .map(|(i, x)| f(base + i, x))
+                        .collect::<Vec<R>>()
+                })
+            })
             .collect();
         for handle in handles {
             out.extend(handle.join().expect("par_map_mut worker panicked"));
@@ -155,7 +167,8 @@ mod tests {
     fn par_map_mut_mutates_and_preserves_order() {
         for threads in [1, 3, 16] {
             let mut items: Vec<u64> = (0..100).collect();
-            let doubled = par_map_mut(&mut items, threads, |x| {
+            let doubled = par_map_mut(&mut items, threads, |i, x| {
+                assert_eq!(*x, i as u64, "index must match the item's position");
                 *x *= 2;
                 *x
             });

@@ -10,12 +10,13 @@
 //! The multi-threaded rack-/room-worker deployment of §5 lives in
 //! [`crate::workers`]; it produces the same decisions, distributed.
 
-use std::collections::hash_map::Entry;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
-use capmaestro_server::{SensorSnapshot, Server, ServerMut, ServerRef, ServerSlab};
+use capmaestro_server::{
+    SensorSnapshot, Server, ServerMut, ServerPowerModel, ServerRef, ServerSlab,
+};
 use capmaestro_topology::{FeedId, ServerId, SupplyIndex};
 use capmaestro_units::{Seconds, Watts};
 
@@ -624,15 +625,14 @@ pub enum BudgetSource {
 }
 
 /// Reusable buffers for the per-round hot path (the "RoundContext" of the
-/// round-pipeline design): the stale-server set, the demand map, resolved
-/// root budgets, the cached capping-policy object, per-tree round states
-/// for the plain allocation path, the SPO scratch, and the round report
-/// itself. [`ControlPlane::round`] borrows these instead of
-/// allocating, so a steady-state sequential round performs no heap
-/// allocation.
+/// round-pipeline design): the demand lane, resolved root budgets, the
+/// cached capping-policy object, per-tree round states for the plain
+/// allocation path, the SPO scratch, and the round report itself.
+/// [`ControlPlane::round`] borrows these instead of allocating, so a
+/// steady-state sequential round performs no heap allocation.
 struct RoundContext {
-    stale: HashSet<ServerId>,
-    demands: HashMap<ServerId, Watts>,
+    /// This round's demand per farm slot.
+    demands: Vec<Watts>,
     /// Sensing scratch for [`ControlPlane::sample`] — reused every second
     /// so steady-state sampling allocates nothing.
     snaps: SenseBuffer,
@@ -659,8 +659,7 @@ struct RoundContext {
 impl Default for RoundContext {
     fn default() -> Self {
         RoundContext {
-            stale: HashSet::new(),
-            demands: HashMap::new(),
+            demands: Vec::new(),
             snaps: SenseBuffer::new(),
             root_budgets: Vec::new(),
             tree_demands: Vec::new(),
@@ -751,6 +750,82 @@ fn resolve_root_budgets_into(
     }
 }
 
+/// The plane's per-server state, one lane per concern, indexed by farm
+/// slot: `ids[i]` is the server in slot `i` of the farm the lanes were
+/// last synced against (the farm's `ids()` at that time). The 1 Hz sense
+/// and the round read and write by slot, never by hashing an id.
+///
+/// The lanes re-key when the farm's id list changes — a server inserted
+/// between rounds shifts the slots after it. [`ServerLanes::sync`] then
+/// moves every server's state to its new slot, gives new servers empty
+/// state, and drops servers the farm no longer holds.
+#[derive(Debug, Default)]
+struct ServerLanes {
+    ids: Vec<ServerId>,
+    estimators: Vec<DemandEstimator>,
+    /// Last *plausible* snapshot delivered per server — the only sensor
+    /// data the plane ever acts on. Enforcement reads this cache, not the
+    /// server directly, so a fault layer interposing on delivery affects
+    /// every consumer consistently.
+    telemetry: Vec<Option<SensorSnapshot>>,
+    /// Whether a plausible reading arrived since the last round.
+    fresh: Vec<bool>,
+    /// Consecutive rounds without a plausible reading.
+    stale_rounds: Vec<u32>,
+    /// Capping controllers, created on a server's first enforcement.
+    controllers: Vec<Option<CappingController>>,
+}
+
+impl ServerLanes {
+    /// Re-keys every lane to `ids` (sorted, as `Farm::ids` is) if it
+    /// changed since the last sync; otherwise one slice comparison.
+    fn sync(&mut self, ids: &[ServerId]) {
+        if self.ids == ids {
+            return;
+        }
+        let old = std::mem::replace(&mut self.ids, ids.to_vec());
+        rekey(&mut self.estimators, &old, ids);
+        rekey(&mut self.telemetry, &old, ids);
+        rekey(&mut self.fresh, &old, ids);
+        rekey(&mut self.stale_rounds, &old, ids);
+        rekey(&mut self.controllers, &old, ids);
+    }
+
+    /// The slot of a server, if the lanes hold it.
+    fn slot(&self, id: ServerId) -> Option<usize> {
+        self.ids.binary_search(&id).ok()
+    }
+
+    /// Keeps a plausible reading as the server's telemetry (reusing the
+    /// stored snapshot's allocations) and marks it fresh.
+    fn accept(&mut self, slot: usize, snap: &SensorSnapshot) {
+        match &mut self.telemetry[slot] {
+            Some(kept) => kept.clone_from(snap),
+            empty => *empty = Some(snap.clone()),
+        }
+        self.fresh[slot] = true;
+    }
+}
+
+/// Moves each value of `lane` (keyed by the sorted `old` ids) to its id's
+/// position in the sorted `new` ids; ids new to the lane get a default.
+fn rekey<T: Default>(lane: &mut Vec<T>, old: &[ServerId], new: &[ServerId]) {
+    let mut old_lane = old.iter().zip(std::mem::take(lane)).peekable();
+    lane.extend(new.iter().map(|id| {
+        while old_lane.next_if(|(o, _)| *o < id).is_some() {}
+        old_lane
+            .next_if(|(o, _)| *o == id)
+            .map_or_else(T::default, |(_, value)| value)
+    }));
+}
+
+/// The AC demand a stale server is budgeted and capped from.
+fn fail_safe_demand(fail_safe: Option<Watts>, model: &ServerPowerModel) -> Watts {
+    fail_safe
+        .unwrap_or_else(|| model.cap_min())
+        .clamp(model.cap_min(), model.cap_max())
+}
+
 /// The CapMaestro control-plane service.
 ///
 /// # Examples
@@ -790,8 +865,6 @@ pub struct ControlPlane {
     trees: Vec<ControlTree>,
     budget_source: BudgetSource,
     config: PlaneConfig,
-    controllers: HashMap<ServerId, CappingController>,
-    estimators: HashMap<ServerId, DemandEstimator>,
     /// Dynamic priority overrides, e.g. from a job scheduler (§7's
     /// "coordination of job scheduling with power management").
     priority_overrides: HashMap<ServerId, capmaestro_topology::Priority>,
@@ -803,15 +876,8 @@ pub struct ControlPlane {
     static_priorities: HashMap<ServerId, capmaestro_topology::Priority>,
     /// The staleness watchdog configuration.
     staleness: StalenessConfig,
-    /// Last *plausible* snapshot delivered per server — the only sensor
-    /// data the plane ever acts on. Enforcement reads this cache, not the
-    /// server directly, so a fault layer interposing on delivery affects
-    /// every consumer consistently.
-    telemetry: HashMap<ServerId, SensorSnapshot>,
-    /// Servers that delivered a plausible reading since the last round.
-    fresh: HashSet<ServerId>,
-    /// Consecutive rounds without a plausible reading, per server.
-    stale_rounds: HashMap<ServerId, u32>,
+    /// Per-server state by farm slot (see [`ServerLanes`]).
+    lanes: ServerLanes,
     /// Reusable round buffers (see [`RoundContext`]).
     ctx: RoundContext,
 }
@@ -865,15 +931,11 @@ impl ControlPlane {
             trees,
             budget_source,
             config,
-            controllers: HashMap::new(),
-            estimators: HashMap::new(),
             priority_overrides: HashMap::new(),
             parked: Vec::new(),
             static_priorities,
             staleness,
-            telemetry: HashMap::new(),
-            fresh: HashSet::new(),
-            stale_rounds: HashMap::new(),
+            lanes: ServerLanes::default(),
             ctx: RoundContext::default(),
         }
     }
@@ -914,21 +976,21 @@ impl ControlPlane {
     /// Servers currently declared stale (no plausible telemetry for at
     /// least `stale_after_rounds` rounds), in id order.
     pub fn stale_servers(&self) -> Vec<ServerId> {
-        let mut ids: Vec<ServerId> = self
-            .stale_rounds
+        let threshold = self.staleness.stale_after_rounds;
+        self.lanes
+            .ids
             .iter()
-            .filter(|(_, &ctr)| ctr >= self.staleness.stale_after_rounds)
+            .zip(&self.lanes.stale_rounds)
+            .filter(|(_, &ctr)| ctr >= threshold)
             .map(|(&id, _)| id)
-            .collect();
-        ids.sort_unstable();
-        ids
+            .collect()
     }
 
     /// Whether a server is currently declared stale.
     pub fn is_stale(&self, id: ServerId) -> bool {
-        self.stale_rounds
-            .get(&id)
-            .is_some_and(|&ctr| ctr >= self.staleness.stale_after_rounds)
+        self.lanes.slot(id).is_some_and(|slot| {
+            self.lanes.stale_rounds[slot] >= self.staleness.stale_after_rounds
+        })
     }
 
     /// The per-tree root budgets the next round would resolve (the fixed
@@ -1115,7 +1177,8 @@ impl ControlPlane {
     /// Feeds already-delivered sensor snapshots to the demand estimators —
     /// the path for callers (like the simulation engine) that sensed the
     /// farm this second anyway, possibly through a fault-injecting
-    /// interposer. A reading absent from `snaps` models a dropped reading.
+    /// interposer. A reading absent from `snaps` models a dropped reading;
+    /// a reading for a server the farm does not hold is ignored.
     ///
     /// Each reading is screened against the server's power envelope
     /// ([`DemandEstimator::push_screened`]); implausible readings are
@@ -1124,76 +1187,44 @@ impl ControlPlane {
     pub fn record_snapshots(&mut self, farm: &Farm, snaps: &[(ServerId, SensorSnapshot)]) {
         let recorder = Arc::clone(&self.config.recorder);
         let _sense_timer = PhaseTimer::start(&*recorder, RoundPhase::Sense.metric_name());
+        let lanes = &mut self.lanes;
+        lanes.sync(farm.ids());
+        let ids = farm.ids();
+        let screen = |slot: usize, est: &mut DemandEstimator, snap: &SensorSnapshot| {
+            let model = farm.server_at(slot).config().model();
+            est.push_screened(snap.throttle, snap.total_ac, model.idle(), model.cap_max())
+        };
+        // A whole-farm batch (the shape `sense_all` produces) screens in
+        // parallel when the farm is multi-threaded; the telemetry and
+        // freshness bookkeeping stays sequential in slot order, so the
+        // result is thread-count independent.
         let threads = farm.parallelism();
-        // The estimator updates are independent per server, so when the
-        // farm is configured multi-threaded and the batch is in strict id
-        // order (the shape `sense_all` produces), the screening fans out
-        // across threads; telemetry/freshness bookkeeping stays sequential
-        // in batch order, so the result is thread-count independent.
-        let sorted_unique = snaps.windows(2).all(|w| w[0].0 < w[1].0);
-        if threads > 1 && sorted_unique && snaps.len() > 1 {
-            let mut ests: Vec<DemandEstimator> = snaps
-                .iter()
-                .map(|(id, _)| self.estimators.remove(id).unwrap_or_default())
-                .collect();
-            let mut items: Vec<(usize, &mut DemandEstimator)> =
-                ests.iter_mut().enumerate().collect();
-            let fates: Vec<SampleFate> = par_map_mut(&mut items, threads, |(i, est)| {
-                let (id, snap) = &snaps[*i];
-                match farm.get(*id).map(|s| s.config().model()) {
-                    Some(model) => est.push_screened(
-                        snap.throttle,
-                        snap.total_ac,
-                        model.idle(),
-                        model.cap_max(),
-                    ),
-                    // Unknown server: no envelope to screen against.
-                    None => {
-                        est.push(snap.throttle, snap.total_ac);
-                        SampleFate::Accepted
-                    }
-                }
+        if threads > 1 && snaps.len() == ids.len() && snaps.iter().map(|(id, _)| id).eq(ids) {
+            let fates = par_map_mut(&mut lanes.estimators, threads, |slot, est| {
+                screen(slot, est, &snaps[slot].1)
             });
-            drop(items);
-            for (((id, snap), est), fate) in snaps.iter().zip(ests).zip(fates) {
-                self.estimators.insert(*id, est);
+            for (slot, fate) in fates.into_iter().enumerate() {
                 if fate == SampleFate::Accepted {
-                    // clone_from reuses the stored snapshot's allocations.
-                    match self.telemetry.entry(*id) {
-                        Entry::Occupied(mut e) => e.get_mut().clone_from(snap),
-                        Entry::Vacant(e) => {
-                            e.insert(snap.clone());
-                        }
-                    }
-                    self.fresh.insert(*id);
+                    lanes.accept(slot, &snaps[slot].1);
                 }
             }
             return;
         }
+        // Batches arrive in id order, so each reading's slot is found by
+        // walking the farm's sorted ids alongside; a reading out of order
+        // restarts the walk with a search.
+        let mut slot = 0;
         for (id, snap) in snaps {
-            let estimator = self.estimators.entry(*id).or_default();
-            let fate = match farm.get(*id).map(|s| s.config().model()) {
-                Some(model) => estimator.push_screened(
-                    snap.throttle,
-                    snap.total_ac,
-                    model.idle(),
-                    model.cap_max(),
-                ),
-                // Unknown server: no envelope to screen against.
-                None => {
-                    estimator.push(snap.throttle, snap.total_ac);
-                    SampleFate::Accepted
-                }
-            };
-            if fate == SampleFate::Accepted {
-                // clone_from reuses the stored snapshot's allocations.
-                match self.telemetry.entry(*id) {
-                    Entry::Occupied(mut e) => e.get_mut().clone_from(snap),
-                    Entry::Vacant(e) => {
-                        e.insert(snap.clone());
-                    }
-                }
-                self.fresh.insert(*id);
+            if ids.get(slot).is_none_or(|x| x > id) {
+                slot = ids.partition_point(|x| x < id);
+            }
+            while ids.get(slot).is_some_and(|x| x < id) {
+                slot += 1;
+            }
+            if ids.get(slot) == Some(id)
+                && screen(slot, &mut lanes.estimators[slot], snap) == SampleFate::Accepted
+            {
+                lanes.accept(slot, snap);
             }
         }
     }
@@ -1205,9 +1236,9 @@ impl ControlPlane {
             .get(id)
             .map(|s| (s.config().model().idle(), s.sense().total_ac))
             .unwrap_or((Watts::ZERO, Watts::ZERO));
-        self.estimators
-            .get(&id)
-            .and_then(|e| e.estimate_with_idle(idle))
+        self.lanes
+            .slot(id)
+            .and_then(|slot| self.lanes.estimators[slot].estimate_with_idle(idle))
             .unwrap_or(fallback)
     }
 
@@ -1235,13 +1266,14 @@ impl ControlPlane {
     /// also available afterwards via [`ControlPlane::last_report`]).
     ///
     /// In the sequential case (farm parallelism 1) a steady-state round
-    /// performs **no heap allocation**: demand and stale maps, root
+    /// performs **no heap allocation**: the per-slot demand lane, root
     /// budgets, the policy object, per-tree gather states (reused
     /// incrementally — only subtrees with a dirtied leaf are
     /// re-summarized), SPO routes/overlays, and the report buffers all
-    /// live in the plane's round context. The per-server phases and the
+    /// live in the plane's round context. The estimate phase and the
     /// per-tree allocation fan out across the farm's configured thread
-    /// count ([`Farm::set_parallelism`]); every cross-item combination
+    /// count ([`Farm::set_parallelism`]); enforcement is one sequential
+    /// loop over the slot lanes; every cross-item combination
     /// step runs sequentially in deterministic order, so the round's
     /// decisions are bit-identical for every thread count.
     ///
@@ -1266,28 +1298,19 @@ impl ControlPlane {
         //    estimator cleared — whatever the window held predates the
         //    outage, and an empty window lets `estimate_with_idle` rebuild
         //    the demand from the first post-recovery samples.
-        for &id in farm.ids() {
-            if self.fresh.contains(&id) {
-                self.stale_rounds.insert(id, 0);
+        let lanes = &mut self.lanes;
+        lanes.sync(farm.ids());
+        let threshold = self.staleness.stale_after_rounds;
+        for slot in 0..lanes.ids.len() {
+            if std::mem::take(&mut lanes.fresh[slot]) {
+                lanes.stale_rounds[slot] = 0;
             } else {
-                let ctr = self.stale_rounds.entry(id).or_insert(0);
-                *ctr += 1;
-                if *ctr == self.staleness.stale_after_rounds {
-                    if let Some(est) = self.estimators.get_mut(&id) {
-                        est.clear();
-                    }
+                lanes.stale_rounds[slot] += 1;
+                if lanes.stale_rounds[slot] == threshold {
+                    lanes.estimators[slot].clear();
                 }
             }
         }
-        self.fresh.clear();
-        let threshold = self.staleness.stale_after_rounds;
-        self.ctx.stale.clear();
-        self.ctx.stale.extend(
-            self.stale_rounds
-                .iter()
-                .filter(|(_, &ctr)| ctr >= threshold)
-                .map(|(&id, _)| id),
-        );
         let fail_safe = self.staleness.fail_safe_demand;
 
         // 1. Refresh every tree's leaf inputs from estimates and the
@@ -1297,56 +1320,34 @@ impl ControlPlane {
         //    estimate. The refresh value-compares against the tree's
         //    stored inputs, so unchanged leaves stay clean and the gather
         //    below reuses their cached metrics.
-        self.ctx.demands.clear();
-        if threads <= 1 {
-            for (id, server) in farm.iter() {
-                let model = server.config().model();
-                let demand = if self.ctx.stale.contains(&id) {
-                    fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max())
-                } else {
-                    self.estimators
-                        .get(&id)
-                        .and_then(|e| e.estimate_with_idle(model.idle()))
-                        .or_else(|| self.telemetry.get(&id).map(|snap| snap.total_ac))
-                        .unwrap_or_else(|| server.sense().total_ac)
-                };
-                self.ctx.demands.insert(id, demand);
+        let lanes = &self.lanes;
+        let farm_ref = &*farm;
+        let demand_of = |slot: usize| {
+            let server = farm_ref.server_at(slot);
+            let model = server.config().model();
+            if lanes.stale_rounds[slot] >= threshold {
+                return fail_safe_demand(fail_safe, &model);
             }
+            lanes.estimators[slot]
+                .estimate_with_idle(model.idle())
+                .or_else(|| lanes.telemetry[slot].as_ref().map(|snap| snap.total_ac))
+                .unwrap_or_else(|| server.sense().total_ac)
+        };
+        if threads <= 1 {
+            self.ctx.demands.clear();
+            self.ctx.demands.extend((0..farm_ref.len()).map(demand_of));
         } else {
-            let farm_ref = &*farm;
-            let estimators = &self.estimators;
-            let telemetry = &self.telemetry;
-            let stale_ref = &self.ctx.stale;
-            let computed = par_map_range(farm_ref.len(), threads, |i| {
-                let id = farm_ref.ids()[i];
-                let server = farm_ref.server_at(i);
-                let model = server.config().model();
-                if stale_ref.contains(&id) {
-                    let demand = fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max());
-                    return (id, demand);
-                }
-                let estimate = estimators
-                    .get(&id)
-                    .and_then(|e| e.estimate_with_idle(model.idle()))
-                    .or_else(|| telemetry.get(&id).map(|snap| snap.total_ac))
-                    .unwrap_or_else(|| server.sense().total_ac);
-                (id, estimate)
-            });
-            self.ctx.demands.extend(computed);
+            self.ctx.demands = par_map_range(farm_ref.len(), threads, demand_of);
         }
         drop(estimate_timer);
         if recorder.enabled() {
-            recorder.gauge_set(names::STALE_SERVERS, self.ctx.stale.len() as f64);
+            let stale = lanes.stale_rounds.iter().filter(|&&ctr| ctr >= threshold);
+            recorder.gauge_set(names::STALE_SERVERS, stale.count() as f64);
         }
         let gather_timer = PhaseTimer::start(recorder, RoundPhase::Gather.metric_name());
         {
             let overrides = &self.priority_overrides;
             let statics = &self.static_priorities;
-            let farm_ref = &*farm;
             let demands = &self.ctx.demands;
             let refresh = |tree: &mut ControlTree| {
                 if !overrides.is_empty() {
@@ -1360,12 +1361,13 @@ impl ControlPlane {
                     });
                 }
                 tree.set_inputs_with(|server, supply| {
-                    let srv = farm_ref
-                        .get(server)
+                    let slot = farm_ref
+                        .index_of(server)
                         .unwrap_or_else(|| panic!("tree references unknown {server}"));
+                    let srv = farm_ref.server_at(slot);
                     let model = srv.config().model();
                     let share = srv.bank().effective_share(supply.index());
-                    let demand = demands.get(&server).copied().unwrap_or(model.idle());
+                    let demand = demands[slot];
                     SupplyInput {
                         demand: demand.clamp(model.idle(), model.cap_max()),
                         cap_min: model.cap_min(),
@@ -1392,7 +1394,6 @@ impl ControlPlane {
         //    count.
         let trees = &self.trees;
         let RoundContext {
-            stale,
             root_budgets,
             tree_demands,
             phase_members,
@@ -1524,9 +1525,10 @@ impl ControlPlane {
         // 3. Enforce: pair every server's working supplies' budgets with
         //    its last *delivered* telemetry (never a direct sensor read —
         //    faults must affect enforcement too), then run the stateful
-        //    capping controllers sequentially in id order. Stale servers
-        //    bypass their feedback controller entirely: their cap is
-        //    clamped straight to the fail-safe demand.
+        //    capping controllers in slot order. Stale servers bypass their
+        //    feedback controller entirely: their cap is clamped straight
+        //    to the fail-safe demand. Servers outside every tree keep
+        //    their previous cap.
         let enforce_timer = PhaseTimer::start(recorder, RoundPhase::Enforce.metric_name());
         let mut failsafe_caps: u64 = 0;
         let RoundReport {
@@ -1537,140 +1539,49 @@ impl ControlPlane {
         } = report;
         let allocations = &*allocations;
         let supply_slots = &*supply_slots;
-        // One hash probe per (server, supply) instead of a linear scan
-        // across every tree's allocation (the index was refreshed above).
-        let budget_for = |id: ServerId, supply: SupplyIndex| {
-            supply_slots
-                .get(&(id, supply))
-                .map(|&(tree, slot)| allocations[tree as usize].leaf_budget(slot as usize))
-        };
         dc_caps.clear();
-        let controllers = &mut self.controllers;
-        let telemetry = &self.telemetry;
-        if threads <= 1 {
-            farm.for_each_mut(|_, id, mut server| {
-                let model = server.config().model();
-                if stale.contains(&id) {
-                    let demand_ac = fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max());
-                    let efficiency = server.bank().efficiency();
-                    let controller = controllers.entry(id).or_insert_with(|| {
-                        CappingController::new(model.cap_min(), model.cap_max(), efficiency)
-                    });
-                    let cap = controller.force_dc_cap(demand_ac * efficiency);
-                    server.set_dc_cap(cap);
-                    dc_caps.insert(id, cap);
-                    failsafe_caps += 1;
+        let lanes = &mut self.lanes;
+        farm.for_each_mut(|slot, id, mut server| {
+            let model = server.config().model();
+            let new_controller =
+                |efficiency| CappingController::new(model.cap_min(), model.cap_max(), efficiency);
+            let cap = if lanes.stale_rounds[slot] >= threshold {
+                failsafe_caps += 1;
+                let efficiency = server.bank().efficiency();
+                let controller =
+                    lanes.controllers[slot].get_or_insert_with(|| new_controller(efficiency));
+                controller.force_dc_cap(fail_safe_demand(fail_safe, &model) * efficiency)
+            } else {
+                // One hash probe per working supply (the index was
+                // refreshed above) for its budget, in one pass.
+                let bank = server.bank();
+                let mut budgets = bank
+                    .effective_shares_iter()
+                    .enumerate()
+                    .filter(|(_, share)| share.as_f64() > 0.0)
+                    .filter_map(|(idx, _)| {
+                        let (tree, leaf) = *supply_slots.get(&(id, SupplyIndex(idx as u8)))?;
+                        Some((idx, allocations[tree as usize].leaf_budget(leaf as usize)))
+                    })
+                    .peekable();
+                if budgets.peek().is_none() {
                     return;
                 }
-                // Count the working supplies an allocation covers; servers
-                // outside every tree keep their previous cap, exactly like
-                // the collected (parallel) path.
-                let mut covered = 0usize;
-                for (idx, share) in server.bank().effective_shares_iter().enumerate() {
-                    if share.as_f64() <= 0.0 {
-                        continue;
-                    }
-                    if supply_slots.contains_key(&(id, SupplyIndex(idx as u8))) {
-                        covered += 1;
-                    }
-                }
-                if covered == 0 {
-                    return;
-                }
-                let mut fallback = None;
-                let snap: &SensorSnapshot = match telemetry.get(&id) {
+                let fallback;
+                let snap = match &lanes.telemetry[slot] {
                     Some(snap) => snap,
-                    None => fallback.get_or_insert_with(|| server.sense()),
+                    None => {
+                        fallback = server.sense();
+                        &fallback
+                    }
                 };
-                let controller = controllers.entry(id).or_insert_with(|| {
-                    CappingController::new(
-                        model.cap_min(),
-                        model.cap_max(),
-                        server.bank().efficiency(),
-                    )
-                });
-                let cap = controller.update_pairs(
-                    server
-                        .bank()
-                        .effective_shares_iter()
-                        .enumerate()
-                        .filter_map(|(idx, share)| {
-                            if share.as_f64() <= 0.0 {
-                                return None;
-                            }
-                            budget_for(id, SupplyIndex(idx as u8))
-                                .map(|b| (b, snap.supply_ac[idx]))
-                        }),
-                );
-                server.set_dc_cap(cap);
-                dc_caps.insert(id, cap);
-            });
-        } else {
-            let farm_ref = &*farm;
-            let stale_ref = &*stale;
-            let mut sensed: Vec<Option<(Vec<Watts>, Vec<Watts>)>> =
-                par_map_range(farm_ref.len(), threads, |i| {
-                    let id = farm_ref.ids()[i];
-                    let server = farm_ref.server_at(i);
-                    if stale_ref.contains(&id) {
-                        return None;
-                    }
-                    let snap = telemetry
-                        .get(&id)
-                        .cloned()
-                        .unwrap_or_else(|| server.sense());
-                    let shares = server.bank().effective_shares();
-                    let mut budgets = Vec::new();
-                    let mut measured = Vec::new();
-                    for (idx, share) in shares.iter().enumerate() {
-                        if share.as_f64() <= 0.0 {
-                            continue;
-                        }
-                        if let Some(b) = budget_for(id, SupplyIndex(idx as u8)) {
-                            budgets.push(b);
-                            measured.push(snap.supply_ac[idx]);
-                        }
-                    }
-                    if budgets.is_empty() {
-                        None
-                    } else {
-                        Some((budgets, measured))
-                    }
-                });
-            farm.for_each_mut(|idx, id, mut server| {
-                let work = sensed[idx].take();
-                let model = server.config().model();
-                if stale.contains(&id) {
-                    let demand_ac = fail_safe
-                        .unwrap_or_else(|| model.cap_min())
-                        .clamp(model.cap_min(), model.cap_max());
-                    let efficiency = server.bank().efficiency();
-                    let controller = controllers.entry(id).or_insert_with(|| {
-                        CappingController::new(model.cap_min(), model.cap_max(), efficiency)
-                    });
-                    let cap = controller.force_dc_cap(demand_ac * efficiency);
-                    server.set_dc_cap(cap);
-                    dc_caps.insert(id, cap);
-                    failsafe_caps += 1;
-                    return;
-                }
-                let Some((budgets, measured)) = work else {
-                    return;
-                };
-                let controller = controllers.entry(id).or_insert_with(|| {
-                    CappingController::new(
-                        model.cap_min(),
-                        model.cap_max(),
-                        server.bank().efficiency(),
-                    )
-                });
-                let cap = controller.update(&budgets, &measured);
-                server.set_dc_cap(cap);
-                dc_caps.insert(id, cap);
-            });
-        }
+                let controller = lanes.controllers[slot]
+                    .get_or_insert_with(|| new_controller(bank.efficiency()));
+                controller.update_pairs(budgets.map(|(idx, b)| (b, snap.supply_ac[idx])))
+            };
+            server.set_dc_cap(cap);
+            dc_caps.insert(id, cap);
+        });
         drop(enforce_timer);
         if failsafe_caps > 0 || recorder.enabled() {
             recorder.counter_add(names::FAILSAFE_CAPS_TOTAL, failsafe_caps);
@@ -1707,9 +1618,10 @@ impl ControlPlane {
                 );
                 let leaves = tree.arena().leaf_index();
                 let mut measured = 0.0f64;
-                for slot in 0..leaves.len() {
-                    let (id, supply) = leaves.pair(slot);
-                    if let Some(snap) = telemetry.get(&id) {
+                for leaf in 0..leaves.len() {
+                    let (id, supply) = leaves.pair(leaf);
+                    let kept = lanes.slot(id).and_then(|slot| lanes.telemetry[slot].as_ref());
+                    if let Some(snap) = kept {
                         measured += snap.supply_ac[supply.index()].as_f64();
                     }
                 }
@@ -2104,6 +2016,53 @@ mod tests {
                 < 0.02 * healthy_cap.as_f64(),
             "cap should recover within 2% of {healthy_cap}, got {recovered_cap}"
         );
+    }
+
+    /// A server inserted between rounds shifts every slot after it; each
+    /// lane must follow its server, so the grown plane decides exactly
+    /// like a twin whose farm never saw the insert.
+    #[test]
+    fn lanes_follow_their_servers_when_the_farm_grows_between_rounds() {
+        let extra = |demand: f64| {
+            let mut server = Server::new(ServerConfig::paper_default().single_corded());
+            server.set_offered_demand(Watts::new(demand));
+            server.settle();
+            server
+        };
+        let (quiet, dark, late) = (ServerId(100), ServerId(300), ServerId(200));
+        let mut rigs = [
+            fig2_plane(PolicyKind::GlobalPriority),
+            fig2_plane(PolicyKind::GlobalPriority),
+        ];
+        let sb = rigs[0].0.server_by_name("SB").unwrap();
+        for (_, farm, plane) in &mut rigs {
+            farm.insert(quiet, extra(350.0));
+            farm.insert(dark, extra(380.0));
+            run_periods(plane, farm, 2);
+            run_periods_with_dropped(plane, farm, 3, &[sb, dark]);
+        }
+        // Only the first farm grows, in a slot before `dark`.
+        rigs[0].1.insert(late, extra(300.0));
+        for (_, farm, plane) in &mut rigs {
+            run_periods_with_dropped(plane, farm, 2, &[sb, dark]);
+        }
+        let [(_, farm, plane), (_, twin_farm, twin)] = &rigs;
+        assert_eq!(plane.stale_servers(), vec![sb, dark]);
+        assert_eq!(plane.stale_servers(), twin.stale_servers());
+        for &id in twin_farm.ids() {
+            let bits = |w: Watts| w.as_f64().to_bits();
+            assert_eq!(
+                bits(plane.demand_estimate(id, farm)),
+                bits(twin.demand_estimate(id, twin_farm)),
+                "estimate of {id}"
+            );
+            let cap = |f: &Farm| f.get(id).unwrap().dc_cap().map(bits);
+            assert_eq!(cap(farm), cap(twin_farm), "cap of {id}");
+        }
+        // The newcomer starts from empty state and is tracked from there.
+        assert!(!plane.is_stale(late));
+        let estimate = plane.demand_estimate(late, farm).as_f64();
+        assert!((estimate - 300.0).abs() < 1.0, "newcomer estimate {estimate}");
     }
 
     #[test]

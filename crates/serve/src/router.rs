@@ -429,7 +429,8 @@ fn idempotency_key(request: &Request) -> Option<&str> {
 
 impl Handler for Router {
     fn handle(&self, request: &Request) -> Response {
-        self.recorder.counter_add(names::SERVE_REQUESTS_TOTAL, 1);
+        // Requests are counted by the HTTP server, which also sees the
+        // malformed ones that never reach a handler.
         let path = request.path();
         match (request.method.as_str(), path) {
             // The versioned surface.

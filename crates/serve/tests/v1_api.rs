@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use capmaestro_core::obs::trace::{self, TraceRecorder};
-use capmaestro_core::obs::{prometheus, MetricsRegistry, Recorder};
+use capmaestro_core::obs::{names, prometheus, MetricsRegistry, Recorder};
 use capmaestro_serve::client;
 use capmaestro_serve::daemon::drive_second;
 use capmaestro_serve::{HttpConfig, HttpServer, Router, ServeState};
@@ -18,6 +18,7 @@ use capmaestro_topology::Priority;
 struct Stack {
     engine: Engine,
     state: Arc<ServeState>,
+    registry: Arc<MetricsRegistry>,
     server: HttpServer,
 }
 
@@ -45,17 +46,25 @@ impl Stack {
             engine.control_period_s(),
         ));
         let router = Router::new(state.clone(), registry.clone()).with_trace(tracer);
-        let server = HttpServer::bind(HttpConfig::default(), Arc::new(router))
-            .expect("bind ephemeral port");
+        let config = HttpConfig::default().with_recorder(registry.clone());
+        let server = HttpServer::bind(config, Arc::new(router)).expect("bind ephemeral port");
         Stack {
             engine,
             state,
+            registry,
             server,
         }
     }
 
     fn addr(&self) -> String {
         self.server.local_addr().to_string()
+    }
+
+    /// The `capmaestro_serve_requests_total` counter right now.
+    fn requests_total(&self) -> u64 {
+        let snap = self.registry.snapshot();
+        let counter = snap.counters.iter().find(|c| c.name == names::SERVE_REQUESTS_TOTAL);
+        counter.map_or(0, |c| c.value)
     }
 
     /// Advance `seconds` of simulated time, exactly as the daemon does.
@@ -112,6 +121,23 @@ fn v1_paths_serve_the_same_endpoints_and_legacy_aliases_announce_deprecation() {
     assert_eq!(old_post.header("deprecation"), Some("true"));
     let body = old_post.body_str().expect("utf-8");
     assert!(body.contains("\"status\":\"staged\""), "body: {body}");
+}
+
+#[test]
+fn each_request_moves_the_request_counter_by_exactly_one() {
+    let mut stack = Stack::priority();
+    stack.drive(9);
+    let addr = stack.addr();
+    for path in ["/v1/healthz", "/v1/report", "/v1/no-such-endpoint"] {
+        let before = stack.requests_total();
+        client::get(&addr, path).expect("answered");
+        assert_eq!(stack.requests_total() - before, 1, "GET {path}");
+    }
+    // A malformed request never reaches the router and still counts once.
+    let before = stack.requests_total();
+    let reply = client::send_raw(&addr, b"NOT HTTP\r\n\r\n").expect("answered");
+    assert_eq!(reply.status, 400);
+    assert_eq!(stack.requests_total() - before, 1, "malformed request");
 }
 
 #[test]

@@ -6,7 +6,9 @@
 //! [`Event`]s inject failures or workload changes. Everything observable is
 //! recorded into a [`Trace`] for the figure-regeneration harnesses.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
+use std::fmt::Debug;
+use std::ops::Index;
 use std::sync::Arc;
 
 use capmaestro_core::obs::{names, PhaseTimer};
@@ -76,25 +78,133 @@ pub enum Event {
     StopFlap(FeedId),
 }
 
+/// `(key, series)` pairs of a [`Series`], in slot order.
+pub type SeriesIter<'a, K> =
+    std::iter::Zip<std::slice::Iter<'a, K>, std::slice::Iter<'a, Vec<f64>>>;
+
+/// One recorded `f64` series per key, for keys fixed when the engine is
+/// built: series live densely in slot order (the farm's slot order for
+/// per-server keys, topology order for nodes), so the engine appends each
+/// second by slot without a lookup. Reads look like a map's:
+/// [`Series::get`], `series[&key]`, and iteration in slot order; a read
+/// by key is a binary search over the slots sorted by key. Equality is
+/// map equality (same keys, same values per key).
+#[derive(Debug, Clone)]
+pub struct Series<K> {
+    keys: Vec<K>,
+    /// Slot numbers ordered by key.
+    by_key: Vec<u32>,
+    values: Vec<Vec<f64>>,
+}
+
+impl<K> Default for Series<K> {
+    fn default() -> Self {
+        Series {
+            keys: Vec::new(),
+            by_key: Vec::new(),
+            values: Vec::new(),
+        }
+    }
+}
+
+impl<K: Copy + Ord> Series<K> {
+    /// Empty series for `keys` (unique), in that slot order.
+    fn with_keys(keys: impl IntoIterator<Item = K>) -> Self {
+        let keys: Vec<K> = keys.into_iter().collect();
+        let mut by_key: Vec<u32> = (0..keys.len() as u32).collect();
+        // Keys usually arrive sorted already, which the stable sort
+        // finishes in one pass.
+        by_key.sort_by_key(|&slot| keys[slot as usize]);
+        Series {
+            by_key,
+            values: vec![Vec::new(); keys.len()],
+            keys,
+        }
+    }
+
+    /// The series recorded for `key`.
+    pub fn get(&self, key: &K) -> Option<&Vec<f64>> {
+        let keys = &self.keys;
+        let at = self
+            .by_key
+            .binary_search_by(|&slot| keys[slot as usize].cmp(key))
+            .ok()?;
+        Some(&self.values[self.by_key[at] as usize])
+    }
+}
+
+impl<K> Series<K> {
+    /// The keys, in slot order.
+    pub fn keys(&self) -> std::slice::Iter<'_, K> {
+        self.keys.iter()
+    }
+
+    /// The series, in slot order.
+    pub fn values(&self) -> std::slice::Iter<'_, Vec<f64>> {
+        self.values.iter()
+    }
+
+    /// `(key, series)` pairs, in slot order.
+    pub fn iter(&self) -> SeriesIter<'_, K> {
+        self.keys.iter().zip(&self.values)
+    }
+
+    /// Number of keys.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether there are no keys.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+}
+
+impl<K: Copy + Ord + Debug> Index<&K> for Series<K> {
+    type Output = Vec<f64>;
+
+    fn index(&self, key: &K) -> &Vec<f64> {
+        self.get(key)
+            .unwrap_or_else(|| panic!("no series recorded for {key:?}"))
+    }
+}
+
+impl<K: Copy + Ord> PartialEq for Series<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().all(|(k, v)| other.get(k) == Some(v))
+    }
+}
+
+impl<'a, K> IntoIterator for &'a Series<K> {
+    type Item = (&'a K, &'a Vec<f64>);
+    type IntoIter = SeriesIter<'a, K>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
 /// Everything the engine recorded, one sample per simulated second.
 ///
-/// The per-series maps (`server_power`, `supply_power`, `throttle`,
-/// `dc_cap`, `node_load`) are filled from batched append buffers that the
-/// engine flushes when a run completes (or after every [`Engine::step`]);
-/// the event logs (`trips`, `lost_servers`, `stranded`) and `seconds` are
-/// always live.
+/// The engine appends every second straight into the [`Series`] (per
+/// server, per supply, per limited node), so every field is current
+/// after each [`Engine::step`], not only at run boundaries. The key sets
+/// are fixed when the engine is built and survive [`Engine::reset_trace`],
+/// which empties the series. Iteration runs in slot order, so sums over
+/// a trace are the same in every process.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
     /// Total AC power per server.
-    pub server_power: HashMap<ServerId, Vec<f64>>,
+    pub server_power: Series<ServerId>,
     /// Per-supply AC power.
-    pub supply_power: HashMap<(ServerId, SupplyIndex), Vec<f64>>,
+    pub supply_power: Series<(ServerId, SupplyIndex)>,
     /// Power-cap throttling level per server.
-    pub throttle: HashMap<ServerId, Vec<f64>>,
-    /// DC cap commanded per server (carried forward between rounds).
-    pub dc_cap: HashMap<ServerId, Vec<f64>>,
+    pub throttle: Series<ServerId>,
+    /// DC cap commanded per server (carried forward between rounds; NaN
+    /// before a server's first round).
+    pub dc_cap: Series<ServerId>,
     /// Load at every limited distribution node, keyed by `(feed, node)`.
-    pub node_load: HashMap<(FeedId, NodeId), Vec<f64>>,
+    pub node_load: Series<(FeedId, NodeId)>,
     /// Human-readable names for the recorded nodes.
     pub node_names: HashMap<(FeedId, NodeId), String>,
     /// Breaker trip events: `(second, feed, node name)`.
@@ -178,6 +288,10 @@ struct LoadIndex {
     /// key's loads are summed in exactly this order, which keeps the
     /// parallel accumulation bit-identical to the sequential push-up.
     contributors: Vec<Vec<u32>>,
+    /// Per limited node, in the trace's `node_load` slot order: the slots
+    /// of its present phases in `Phase::ALL` order. Summing in this order
+    /// keeps the recorded aggregate bit-identical to a per-phase sum.
+    node_phase_slots: Vec<Vec<usize>>,
 }
 
 impl LoadIndex {
@@ -208,10 +322,19 @@ impl LoadIndex {
                 }
             }
         }
+        let node_phase_slots = limited_nodes(topology)
+            .map(|(feed, node)| {
+                Phase::ALL
+                    .iter()
+                    .filter_map(|&p| slots.get(&(feed, node, p)).copied())
+                    .collect()
+            })
+            .collect();
         LoadIndex {
             outlets,
             slots,
             contributors,
+            node_phase_slots,
         }
     }
 
@@ -225,176 +348,15 @@ impl LoadIndex {
     }
 }
 
-/// Batched trace recording: per-second samples land in dense,
-/// slot-indexed append buffers (pure `Vec` pushes — no hashing on the
-/// per-second path), which are flushed into the [`Trace`] maps once per
-/// run (or per manual [`Engine::step`]). The slot layout mirrors the
-/// farm's snapshot sweep order and the topology's limited nodes, both of
-/// which are fixed for the engine's lifetime; if either ever changes the
-/// recorder flushes and relearns the layout, so series stay keyed
-/// correctly.
-#[derive(Debug, Default)]
-struct TraceRecorder {
-    ready: bool,
-    /// Server order of the snapshot sweep.
-    server_ids: Vec<ServerId>,
-    /// Supplies per server (length of its `supply_ac`).
-    supply_counts: Vec<usize>,
-    /// Prefix offsets of each server's supplies in `supply_power`.
-    supply_offsets: Vec<usize>,
-    server_power: Vec<Vec<f64>>,
-    throttle: Vec<Vec<f64>>,
-    dc_cap: Vec<Vec<f64>>,
-    supply_power: Vec<Vec<f64>>,
-    /// Limited nodes, in feed-major topology order.
-    node_keys: Vec<(FeedId, NodeId)>,
-    /// Per limited node: the `LoadIndex` slots of its present phases, in
-    /// `Phase::ALL` order — summing in this order keeps the aggregate
-    /// bit-identical to the per-phase `filter_map` it replaces.
-    node_phase_slots: Vec<Vec<usize>>,
-    node_load: Vec<Vec<f64>>,
-}
-
-impl TraceRecorder {
-    /// Whether the cached layout still matches this second's sweep.
-    fn matches(&self, snaps: &[(ServerId, SensorSnapshot)]) -> bool {
-        self.ready
-            && self.server_ids.len() == snaps.len()
-            && snaps.iter().enumerate().all(|(i, (id, snap))| {
-                self.server_ids[i] == *id
-                    && self.supply_counts[i] == snap.supply_ac.len()
-            })
-    }
-
-    /// Relearns the slot layout from this second's sweep and the static
-    /// topology, registering node names on first touch exactly as the
-    /// unbatched path did.
-    fn rebuild(
-        &mut self,
-        snaps: &[(ServerId, SensorSnapshot)],
-        topology: &Topology,
-        load_index: &LoadIndex,
-        node_names: &mut HashMap<(FeedId, NodeId), String>,
-    ) {
-        self.server_ids.clear();
-        self.supply_counts.clear();
-        self.supply_offsets.clear();
-        let mut supplies_total = 0;
-        for (id, snap) in snaps {
-            self.server_ids.push(*id);
-            self.supply_counts.push(snap.supply_ac.len());
-            self.supply_offsets.push(supplies_total);
-            supplies_total += snap.supply_ac.len();
-        }
-        self.server_power.resize_with(snaps.len(), Vec::new);
-        self.throttle.resize_with(snaps.len(), Vec::new);
-        self.dc_cap.resize_with(snaps.len(), Vec::new);
-        self.supply_power.resize_with(supplies_total, Vec::new);
-
-        self.node_keys.clear();
-        self.node_phase_slots.clear();
-        self.node_load.clear();
-        for graph in topology.feeds() {
-            for node in graph.iter() {
-                if graph.device(node).effective_limit().is_none() {
-                    continue;
-                }
-                let key = (graph.feed(), node);
-                self.node_keys.push(key);
-                self.node_phase_slots.push(
-                    Phase::ALL
-                        .iter()
-                        .filter_map(|&p| {
-                            load_index.slots.get(&(key.0, key.1, p)).copied()
-                        })
-                        .collect(),
-                );
-                self.node_load.push(Vec::new());
-                node_names
-                    .entry(key)
-                    .or_insert_with(|| graph.device(node).name().to_string());
-            }
-        }
-        self.ready = true;
-    }
-
-    /// Appends one second of samples. Nothing here hashes or allocates
-    /// beyond amortized series growth.
-    fn push_second(
-        &mut self,
-        snaps: &[(ServerId, SensorSnapshot)],
-        last_caps: &HashMap<ServerId, f64>,
-        loads: &[Watts],
-    ) {
-        for (slot, (id, snap)) in snaps.iter().enumerate() {
-            self.server_power[slot].push(snap.total_ac.as_f64());
-            self.throttle[slot].push(snap.throttle.as_f64());
-            self.dc_cap[slot]
-                .push(last_caps.get(id).copied().unwrap_or(f64::NAN));
-            let base = self.supply_offsets[slot];
-            for (i, p) in snap.supply_ac.iter().enumerate() {
-                self.supply_power[base + i].push(p.as_f64());
-            }
-        }
-        for (k, slots) in self.node_phase_slots.iter().enumerate() {
-            let mut load = Watts::ZERO;
-            for &slot in slots {
-                load += loads[slot];
-            }
-            self.node_load[k].push(load.as_f64());
-        }
-    }
-
-    /// Drains every pending buffer into the trace maps (append-only; a
-    /// key whose buffer is empty is left untouched, so flushing twice is
-    /// a no-op and no spurious empty series appear).
-    fn flush(&mut self, trace: &mut Trace) {
-        if !self.ready {
-            return;
-        }
-        for (slot, id) in self.server_ids.iter().enumerate() {
-            if !self.server_power[slot].is_empty() {
-                trace
-                    .server_power
-                    .entry(*id)
-                    .or_default()
-                    .append(&mut self.server_power[slot]);
-            }
-            if !self.throttle[slot].is_empty() {
-                trace
-                    .throttle
-                    .entry(*id)
-                    .or_default()
-                    .append(&mut self.throttle[slot]);
-            }
-            if !self.dc_cap[slot].is_empty() {
-                trace
-                    .dc_cap
-                    .entry(*id)
-                    .or_default()
-                    .append(&mut self.dc_cap[slot]);
-            }
-            let base = self.supply_offsets[slot];
-            for i in 0..self.supply_counts[slot] {
-                if !self.supply_power[base + i].is_empty() {
-                    trace
-                        .supply_power
-                        .entry((*id, SupplyIndex(i as u8)))
-                        .or_default()
-                        .append(&mut self.supply_power[base + i]);
-                }
-            }
-        }
-        for (k, key) in self.node_keys.iter().enumerate() {
-            if !self.node_load[k].is_empty() {
-                trace
-                    .node_load
-                    .entry(*key)
-                    .or_default()
-                    .append(&mut self.node_load[k]);
-            }
-        }
-    }
+/// The `(feed, node)` keys of every node with a limit, feed-major in
+/// topology order — the trace's `node_load` slot order.
+fn limited_nodes(topology: &Topology) -> impl Iterator<Item = (FeedId, NodeId)> + '_ {
+    topology.feeds().iter().flat_map(|graph| {
+        graph
+            .iter()
+            .filter(|&node| graph.device(node).effective_limit().is_some())
+            .map(|node| (graph.feed(), node))
+    })
 }
 
 /// The time-stepped simulation engine.
@@ -417,16 +379,17 @@ pub struct Engine {
     plane: ControlPlane,
     config: EngineConfig,
     breakers: Vec<((FeedId, NodeId, Phase), BreakerSim)>,
-    events: Vec<(u64, Event)>,
+    /// Scheduled events by due second; equal seconds in schedule order.
+    events: VecDeque<(u64, Event)>,
     time_s: u64,
     trace: Trace,
-    last_caps: HashMap<ServerId, f64>,
+    /// The last commanded DC cap per farm slot (NaN before any).
+    last_caps: Vec<f64>,
     load_index: LoadIndex,
     faults: FaultLayer,
     /// Route sensing through the fault layer even when it is quiet
     /// (differential-test knob proving the slow path is a true no-op).
     force_interposition: bool,
-    recorder: TraceRecorder,
     /// The readings actually delivered to the control plane on the last
     /// interposed second (reusable buffer; see
     /// [`Engine::delivered_readings`]).
@@ -487,20 +450,37 @@ impl Engine {
             }
         }
         let load_index = LoadIndex::build(&topology, &farm);
+        let ids = farm.ids();
+        let trace = Trace {
+            server_power: Series::with_keys(ids.iter().copied()),
+            supply_power: Series::with_keys(farm.iter().flat_map(|(id, server)| {
+                (0..server.bank().len()).map(move |i| (id, SupplyIndex(i as u8)))
+            })),
+            throttle: Series::with_keys(ids.iter().copied()),
+            dc_cap: Series::with_keys(ids.iter().copied()),
+            node_load: Series::with_keys(limited_nodes(&topology)),
+            node_names: limited_nodes(&topology)
+                .map(|(feed, node)| {
+                    let graph = topology.feed(feed).expect("feed of a limited node");
+                    ((feed, node), graph.device(node).name().to_string())
+                })
+                .collect(),
+            ..Trace::default()
+        };
+        let last_caps = vec![f64::NAN; farm.len()];
         Engine {
             topology,
             farm,
             plane,
             config,
             breakers,
-            events: Vec::new(),
+            events: VecDeque::new(),
             time_s: 0,
-            trace: Trace::default(),
-            last_caps: HashMap::new(),
+            trace,
+            last_caps,
             load_index,
             faults: FaultLayer::new(0),
             force_interposition: false,
-            recorder: TraceRecorder::default(),
             delivered: Vec::new(),
             delivered_valid: false,
             staged_budgets: None,
@@ -527,10 +507,11 @@ impl Engine {
         self
     }
 
-    /// Schedules an event at an absolute simulation second.
+    /// Schedules an event at an absolute simulation second. Events due in
+    /// the same second apply in the order they were scheduled.
     pub fn schedule(&mut self, at_s: u64, event: Event) -> &mut Self {
-        self.events.push((at_s, event));
-        self.events.sort_by_key(|(t, _)| *t);
+        let at = self.events.partition_point(|(t, _)| *t <= at_s);
+        self.events.insert(at, (at_s, event));
         self
     }
 
@@ -642,15 +623,20 @@ impl Engine {
         applied
     }
 
-    /// Drops everything recorded so far and resets the trace to empty
-    /// (series layouts are relearned on the next step). A long-running
-    /// daemon calls this periodically so an unbounded serving run does
-    /// not accumulate an unbounded trace.
+    /// Drops everything recorded so far: every series is emptied (its
+    /// key and capacity stay) and the event logs are cleared. A
+    /// long-running daemon calls this periodically so an unbounded
+    /// serving run does not accumulate an unbounded trace.
     pub fn reset_trace(&mut self) {
-        self.recorder = TraceRecorder::default();
-        let seconds = self.time_s;
-        self.trace = Trace::default();
-        self.trace.seconds = seconds;
+        let t = &mut self.trace;
+        for series in [&mut t.server_power, &mut t.throttle, &mut t.dc_cap] {
+            series.values.iter_mut().for_each(Vec::clear);
+        }
+        t.supply_power.values.iter_mut().for_each(Vec::clear);
+        t.node_load.values.iter_mut().for_each(Vec::clear);
+        t.trips.clear();
+        t.lost_servers.clear();
+        t.stranded.clear();
     }
 
     /// The most recent control round's decisions, if any round ran.
@@ -828,21 +814,32 @@ impl Engine {
         )
     }
 
+    /// Appends one second to every series, by slot: the sweep is in farm
+    /// slot order and the series were laid out in the same order, so
+    /// nothing hashes. The displayed node load aggregates the phases
+    /// (safety checks use the per-phase values against the per-phase
+    /// ratings).
     fn record(&mut self, snaps: &[(ServerId, SensorSnapshot)], loads: &[Watts]) {
-        // Per-server and per-node series go into the recorder's dense
-        // append buffers — one plain push per sample, no hashing. The
-        // displayed node load aggregates the phases (safety checks use
-        // the per-phase values against the per-phase ratings).
-        if !self.recorder.matches(snaps) {
-            self.recorder.flush(&mut self.trace);
-            self.recorder.rebuild(
-                snaps,
-                &self.topology,
-                &self.load_index,
-                &mut self.trace.node_names,
-            );
+        let t = &mut self.trace;
+        let mut supplies = t.supply_power.values.iter_mut();
+        for (slot, (_, snap)) in snaps.iter().enumerate() {
+            t.server_power.values[slot].push(snap.total_ac.as_f64());
+            t.throttle.values[slot].push(snap.throttle.as_f64());
+            t.dc_cap.values[slot].push(self.last_caps[slot]);
+            // The snapshot's side of the zip comes first, so its end stops
+            // the walk without consuming the next server's series.
+            for (p, series) in snap.supply_ac.iter().zip(supplies.by_ref()) {
+                series.push(p.as_f64());
+            }
         }
-        self.recorder.push_second(snaps, &self.last_caps, loads);
+        let nodes = t.node_load.values.iter_mut();
+        for (series, phase_slots) in nodes.zip(&self.load_index.node_phase_slots) {
+            let mut load = Watts::ZERO;
+            for &slot in phase_slots {
+                load += loads[slot];
+            }
+            series.push(load.as_f64());
+        }
     }
 
     /// Runs the simulation for `seconds`, returning the accumulated trace.
@@ -863,17 +860,15 @@ impl Engine {
             self.step_second();
             observer(self);
         }
-        self.recorder.flush(&mut self.trace);
         self.trace.clone()
     }
 
-    /// Advances the simulation by exactly one second and flushes the
-    /// recorded series — the manual-stepping alternative to
-    /// [`Engine::run`] for harnesses that mutate engine internals (e.g.
-    /// [`Engine::plane_mut`]) between seconds.
+    /// Advances the simulation by exactly one second — the
+    /// manual-stepping alternative to [`Engine::run`] for harnesses that
+    /// mutate engine internals (e.g. [`Engine::plane_mut`]) between
+    /// seconds.
     pub fn step(&mut self) {
         self.step_second();
-        self.recorder.flush(&mut self.trace);
     }
 
     /// Advances the world by one second: events, sensing (through the
@@ -887,12 +882,9 @@ impl Engine {
         recorder.counter_add(names::SIM_STEPS_TOTAL, 1);
         let _step_timer = PhaseTimer::start(&*recorder, names::SIM_STEP_SECONDS);
         {
-            // Apply due events.
-            while let Some((t, _)) = self.events.first() {
-                if *t > self.time_s {
-                    break;
-                }
-                let (_, event) = self.events.remove(0);
+            // Apply due events, in schedule order.
+            while self.events.front().is_some_and(|(t, _)| *t <= self.time_s) {
+                let (_, event) = self.events.pop_front().expect("front checked");
                 self.apply_event(event);
             }
 
@@ -929,7 +921,9 @@ impl Engine {
                 }
                 let report = self.plane.round(&mut self.farm);
                 for (id, cap) in &report.dc_caps {
-                    self.last_caps.insert(*id, cap.as_f64());
+                    if let Some(slot) = self.farm.index_of(*id) {
+                        self.last_caps[slot] = cap.as_f64();
+                    }
                 }
                 self.trace
                     .stranded
@@ -1033,10 +1027,8 @@ impl Engine {
         self.plane.round(&mut self.farm).clone()
     }
 
-    /// Immutable view of everything recorded so far. The event logs
-    /// (`trips`, `lost_servers`, `stranded`) are live every second; the
-    /// per-series maps are complete at [`Engine::run`] /
-    /// [`Engine::run_observed`] boundaries and after [`Engine::step`].
+    /// Immutable view of everything recorded so far, current after every
+    /// stepped second.
     pub fn trace(&self) -> &Trace {
         &self.trace
     }

@@ -5,12 +5,10 @@
 //! and on a ≥10k-server data center where most of the fleet has
 //! quiesced before mid-run faults dirty previously-quiescent servers.
 
-use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
 
 use capmaestro_core::policy::PolicyKind;
-use capmaestro_sim::engine::{Engine, Event, Trace};
+use capmaestro_sim::engine::{Engine, Event, Series, Trace};
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan};
 use capmaestro_sim::scenarios::{
     datacenter_rig, priority_rig, DataCenterRigConfig, Rig, RigConfig,
@@ -35,10 +33,10 @@ fn event_driven(rig: Rig, threads: usize) -> Engine {
     engine
 }
 
-fn assert_series_identical<K: Hash + Eq + Debug>(
+fn assert_series_identical<K: Copy + Ord + Debug>(
     what: &str,
-    seq: &HashMap<K, Vec<f64>>,
-    fleet: &HashMap<K, Vec<f64>>,
+    seq: &Series<K>,
+    fleet: &Series<K>,
 ) {
     assert_eq!(seq.len(), fleet.len(), "{what}: different key sets");
     for (key, series_seq) in seq {

@@ -5,11 +5,9 @@
 //! under seeded chaos plans, and on a 1024-server data center under a
 //! hand-written fault/priority/demand event storm.
 
-use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
 
-use capmaestro_sim::engine::{Engine, Event, Trace};
+use capmaestro_sim::engine::{Engine, Event, Series, Trace};
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan, FaultKind};
 use capmaestro_sim::scenarios::{
     datacenter_rig, priority_rig, DataCenterRigConfig, RigConfig,
@@ -19,10 +17,10 @@ use capmaestro_topology::{FeedId, Priority, ServerId};
 use capmaestro_units::Watts;
 use proptest::prelude::*;
 
-fn assert_series_identical<K: Hash + Eq + Debug>(
+fn assert_series_identical<K: Copy + Ord + Debug>(
     what: &str,
-    inc: &HashMap<K, Vec<f64>>,
-    full: &HashMap<K, Vec<f64>>,
+    inc: &Series<K>,
+    full: &Series<K>,
 ) {
     assert_eq!(inc.len(), full.len(), "{what}: different key sets");
     for (key, series_inc) in inc {

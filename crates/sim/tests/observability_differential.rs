@@ -3,21 +3,19 @@
 //! bit-identical decisions to an uninstrumented one — recording reads
 //! clocks and bumps atomics, but must never touch a control input.
 
-use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::Arc;
 
 use capmaestro_core::obs::{MetricsRegistry, RoundPhase};
-use capmaestro_sim::engine::{Engine, Trace};
+use capmaestro_sim::engine::{Engine, Series, Trace};
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan};
 use capmaestro_sim::scenarios::{priority_rig, RigConfig};
 use capmaestro_topology::{FeedId, ServerId};
 
-fn assert_series_identical<K: Hash + Eq + Debug>(
+fn assert_series_identical<K: Copy + Ord + Debug>(
     what: &str,
-    instrumented: &HashMap<K, Vec<f64>>,
-    plain: &HashMap<K, Vec<f64>>,
+    instrumented: &Series<K>,
+    plain: &Series<K>,
 ) {
     assert_eq!(instrumented.len(), plain.len(), "{what}: different key sets");
     for (key, series_a) in instrumented {

@@ -4,12 +4,10 @@
 //! scenario — including a mid-run feed failure, so the failover and
 //! trip-handling paths are compared too.
 
-use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
 
 use capmaestro_core::policy::PolicyKind;
-use capmaestro_sim::engine::{Engine, Event, Trace};
+use capmaestro_sim::engine::{Engine, Event, Series, Trace};
 use capmaestro_sim::scenarios::{datacenter_rig, DataCenterRigConfig};
 use capmaestro_topology::presets::DataCenterParams;
 use capmaestro_topology::FeedId;
@@ -35,10 +33,10 @@ fn small_dc(policy: PolicyKind, spo: bool) -> DataCenterRigConfig {
     }
 }
 
-fn assert_series_identical<K: Hash + Eq + Debug>(
+fn assert_series_identical<K: Copy + Ord + Debug>(
     what: &str,
-    seq: &HashMap<K, Vec<f64>>,
-    par: &HashMap<K, Vec<f64>>,
+    seq: &Series<K>,
+    par: &Series<K>,
 ) {
     assert_eq!(seq.len(), par.len(), "{what}: different key sets");
     for (key, series_seq) in seq {

@@ -6,24 +6,22 @@
 //! ring-overflow case proving drop-oldest keeps the emitted document
 //! balanced and the dropped counter honest.
 
-use std::collections::HashMap;
 use std::fmt::Debug;
-use std::hash::Hash;
 use std::sync::Arc;
 
 use capmaestro_core::obs::trace::{self, EventKind, TraceRecorder};
 use capmaestro_core::obs::RoundPhase;
-use capmaestro_sim::engine::{Engine, Trace};
+use capmaestro_sim::engine::{Engine, Series, Trace};
 use capmaestro_sim::faults::{ChaosConfig, ChaosPlan};
 use capmaestro_sim::scenarios::{priority_rig, RigConfig};
 use capmaestro_topology::{FeedId, ServerId};
 
 const SECONDS: u64 = 200;
 
-fn assert_series_identical<K: Hash + Eq + Debug>(
+fn assert_series_identical<K: Copy + Ord + Debug>(
     what: &str,
-    traced: &HashMap<K, Vec<f64>>,
-    plain: &HashMap<K, Vec<f64>>,
+    traced: &Series<K>,
+    plain: &Series<K>,
 ) {
     assert_eq!(traced.len(), plain.len(), "{what}: different key sets");
     for (key, series_a) in traced {
