@@ -24,9 +24,8 @@ use crate::alloc::{Allocator, AllocatorKind};
 use crate::capping::CappingController;
 use crate::estimator::{DemandEstimator, SampleFate};
 use crate::obs::{names, null_recorder, PhaseTimer, Recorder, RoundPhase};
-use crate::par::{par_for_each_mut, par_map, par_map_mut, par_map_range};
 use crate::policy::{CappingPolicy, PolicyKind};
-use crate::spo::{optimize_stranded_power_in, optimize_stranded_power_par_with, SpoScratch};
+use crate::spo::{optimize_stranded_power_in, SpoScratch};
 use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 
 /// The population of servers under management, keyed by id.
@@ -37,49 +36,23 @@ use crate::tree::{Allocation, ControlTree, SupplyInput, TreeRoundState};
 /// [`ServerRef`] / [`ServerMut`] views that mirror the old `&Server` /
 /// `&mut Server` surface; iteration order is id order, as before.
 ///
-/// The farm carries the thread-count knob for the per-second hot path:
-/// [`Farm::set_parallelism`] shards [`Farm::step_all`] and the sensing
-/// sweeps across scoped threads at 64-server bitmap-word boundaries, and
-/// the control plane's estimate phase fans out the same way. Stepping is
-/// **event-driven** by default: servers at the exact `f64` fixed point of
-/// their settling filter are skipped (see [`ServerSlab`]), which is a
-/// bitwise no-op by construction. Results are bit-identical for every
-/// thread count and for event-driven on/off — servers are independent and
-/// all outputs stay in id order.
-#[derive(Debug)]
+/// The per-second hot path is one sequential sweep over the slab.
+/// Stepping is **event-driven** by default: servers at the exact `f64`
+/// fixed point of their settling filter are skipped (see [`ServerSlab`]),
+/// which is a bitwise no-op by construction, so results are bit-identical
+/// for event-driven on/off — servers are independent and all outputs stay
+/// in id order.
+#[derive(Debug, Default)]
 pub struct Farm {
     /// Sorted server ids; position i maps to slab slot i.
     ids: Vec<ServerId>,
     slab: ServerSlab,
-    parallelism: usize,
-}
-
-impl Default for Farm {
-    fn default() -> Self {
-        Farm {
-            ids: Vec::new(),
-            slab: ServerSlab::new(),
-            parallelism: 1,
-        }
-    }
 }
 
 impl Farm {
     /// Creates an empty farm.
     pub fn new() -> Self {
         Farm::default()
-    }
-
-    /// Sets how many threads the hot-path sweeps (stepping, sensing,
-    /// demand estimation) may fan out across. Clamped to at least 1;
-    /// 1 (the default) keeps everything on the calling thread.
-    pub fn set_parallelism(&mut self, threads: usize) {
-        self.parallelism = threads.max(1);
-    }
-
-    /// The configured hot-path thread count.
-    pub fn parallelism(&self) -> usize {
-        self.parallelism
     }
 
     /// Enables or disables event-driven stepping (on by default).
@@ -162,82 +135,31 @@ impl Farm {
     }
 
     /// Advances every server by `dt`, event-driven (quiescent servers are
-    /// skipped bit-exactly) and sharded across the configured thread
-    /// count.
+    /// skipped bit-exactly).
     pub fn step_all(&mut self, dt: Seconds) {
-        self.slab.begin_step(dt);
-        let threads = self.parallelism;
-        if threads <= 1 {
-            self.slab.full_shard().step(dt);
-        } else {
-            let mut shards = self.slab.shards_mut(threads);
-            par_for_each_mut(&mut shards, threads, |shard| shard.step(dt));
-        }
+        self.slab.step(dt);
     }
 
-    /// Reads every server's sensors, in id order, sharded across the
-    /// configured thread count. Allocates the result vector; hot-path
-    /// callers should prefer [`Farm::sense_into`].
+    /// Reads every server's sensors, in id order. Allocates the result
+    /// vector; hot-path callers should prefer [`Farm::sense_into`].
     pub fn sense_all(&self) -> Vec<(ServerId, SensorSnapshot)> {
-        let n = self.ids.len();
-        if self.parallelism <= 1 {
-            return self.iter().map(|(id, s)| (id, s.sense())).collect();
-        }
-        par_map_range(n, self.parallelism, |i| {
-            (self.ids[i], self.slab.view(i).sense())
-        })
+        self.iter().map(|(id, s)| (id, s.sense())).collect()
     }
 
     /// Refreshes the slab's cached snapshots (only stale ones are
     /// recomputed) and syncs `buf` to them, reusing its allocations — the
     /// zero-steady-state-allocation replacement for [`Farm::sense_all`].
     pub fn sense_into(&mut self, buf: &mut SenseBuffer) {
-        self.refresh_snaps();
+        self.slab.refresh();
         self.sync_buffer(buf);
     }
 
-    /// Advances every server by `dt` and syncs `buf` to the refreshed
-    /// snapshots in the same sweep — the fused per-second hot path of the
-    /// simulation engine. Quiescent servers cost ~zero: no stepping
-    /// arithmetic, no re-sensing, no buffer write.
+    /// [`Farm::step_all`] then [`Farm::sense_into`] — the per-second hot
+    /// path of the simulation engine. Quiescent servers cost ~zero: no
+    /// stepping arithmetic, no re-sensing, no buffer write.
     pub fn step_and_sense_into(&mut self, dt: Seconds, buf: &mut SenseBuffer) {
-        self.slab.begin_step(dt);
-        self.slab.begin_refresh();
-        let threads = self.parallelism;
-        if threads <= 1 {
-            let mut shard = self.slab.full_shard();
-            shard.step(dt);
-            shard.refresh();
-        } else {
-            let mut shards = self.slab.shards_mut(threads);
-            par_for_each_mut(&mut shards, threads, |shard| {
-                shard.step(dt);
-                shard.refresh();
-            });
-        }
-        self.sync_buffer(buf);
-    }
-
-    /// Advances every server by `dt` and reads its sensors in the same
-    /// sweep, returning snapshots in id order. Allocates the result
-    /// vector; hot-path callers should prefer
-    /// [`Farm::step_and_sense_into`].
-    pub fn step_and_sense_all(&mut self, dt: Seconds) -> Vec<(ServerId, SensorSnapshot)> {
-        let mut buf = SenseBuffer::new();
-        self.step_and_sense_into(dt, &mut buf);
-        buf.entries
-    }
-
-    /// Refreshes every stale cached snapshot, sharded.
-    fn refresh_snaps(&mut self) {
-        self.slab.begin_refresh();
-        let threads = self.parallelism;
-        if threads <= 1 {
-            self.slab.full_shard().refresh();
-        } else {
-            let mut shards = self.slab.shards_mut(threads);
-            par_for_each_mut(&mut shards, threads, |shard| shard.refresh());
-        }
+        self.step_all(dt);
+        self.sense_into(buf);
     }
 
     /// Syncs a [`SenseBuffer`] to the slab's (just-refreshed) snapshot
@@ -1155,9 +1077,8 @@ impl ControlPlane {
     /// Records one per-second sensor sample for every server (throttle
     /// level and total AC power), feeding the demand estimators through
     /// plausibility screening and updating the telemetry cache. Sensing
-    /// fans out across the farm's configured thread count; the estimator
-    /// updates stay in id order, so the result is thread-count
-    /// independent.
+    /// allocates a fresh batch; [`ControlPlane::sample`] is the
+    /// allocation-free equivalent.
     pub fn record_sample(&mut self, farm: &Farm) {
         self.record_snapshots(farm, &farm.sense_all());
     }
@@ -1190,26 +1111,6 @@ impl ControlPlane {
         let lanes = &mut self.lanes;
         lanes.sync(farm.ids());
         let ids = farm.ids();
-        let screen = |slot: usize, est: &mut DemandEstimator, snap: &SensorSnapshot| {
-            let model = farm.server_at(slot).config().model();
-            est.push_screened(snap.throttle, snap.total_ac, model.idle(), model.cap_max())
-        };
-        // A whole-farm batch (the shape `sense_all` produces) screens in
-        // parallel when the farm is multi-threaded; the telemetry and
-        // freshness bookkeeping stays sequential in slot order, so the
-        // result is thread-count independent.
-        let threads = farm.parallelism();
-        if threads > 1 && snaps.len() == ids.len() && snaps.iter().map(|(id, _)| id).eq(ids) {
-            let fates = par_map_mut(&mut lanes.estimators, threads, |slot, est| {
-                screen(slot, est, &snaps[slot].1)
-            });
-            for (slot, fate) in fates.into_iter().enumerate() {
-                if fate == SampleFate::Accepted {
-                    lanes.accept(slot, &snaps[slot].1);
-                }
-            }
-            return;
-        }
         // Batches arrive in id order, so each reading's slot is found by
         // walking the farm's sorted ids alongside; a reading out of order
         // restarts the walk with a search.
@@ -1221,9 +1122,17 @@ impl ControlPlane {
             while ids.get(slot).is_some_and(|x| x < id) {
                 slot += 1;
             }
-            if ids.get(slot) == Some(id)
-                && screen(slot, &mut lanes.estimators[slot], snap) == SampleFate::Accepted
-            {
+            if ids.get(slot) != Some(id) {
+                continue;
+            }
+            let model = farm.server_at(slot).config().model();
+            let fate = lanes.estimators[slot].push_screened(
+                snap.throttle,
+                snap.total_ac,
+                model.idle(),
+                model.cap_max(),
+            );
+            if fate == SampleFate::Accepted {
                 lanes.accept(slot, snap);
             }
         }
@@ -1265,17 +1174,12 @@ impl ControlPlane {
     /// [`RoundReport`] and returning it (cached semantics: the report is
     /// also available afterwards via [`ControlPlane::last_report`]).
     ///
-    /// In the sequential case (farm parallelism 1) a steady-state round
-    /// performs **no heap allocation**: the per-slot demand lane, root
-    /// budgets, the policy object, per-tree gather states (reused
-    /// incrementally — only subtrees with a dirtied leaf are
-    /// re-summarized), SPO routes/overlays, and the report buffers all
-    /// live in the plane's round context. The estimate phase and the
-    /// per-tree allocation fan out across the farm's configured thread
-    /// count ([`Farm::set_parallelism`]); enforcement is one sequential
-    /// loop over the slot lanes; every cross-item combination
-    /// step runs sequentially in deterministic order, so the round's
-    /// decisions are bit-identical for every thread count.
+    /// A steady-state round performs **no heap allocation**: the per-slot
+    /// demand lane, root budgets, the policy object, per-tree gather
+    /// states (reused incrementally — only subtrees with a dirtied leaf
+    /// are re-summarized), SPO routes/overlays, and the report buffers
+    /// all live in the plane's round context. Every phase is one
+    /// sequential sweep in deterministic (slot / tree) order.
     ///
     /// When a [`Recorder`] is attached ([`PlaneConfig::with_recorder`] /
     /// [`ControlPlane::set_recorder`]), the round reports per-phase wall
@@ -1285,7 +1189,6 @@ impl ControlPlane {
     /// that is computed and the round is bit-identical to an
     /// uninstrumented one.
     pub fn round(&mut self, farm: &mut Farm) -> &RoundReport {
-        let threads = farm.parallelism();
         let recorder = Arc::clone(&self.config.recorder);
         let recorder: &dyn Recorder = &*recorder;
         recorder.counter_add(names::ROUNDS_TOTAL, 1);
@@ -1314,12 +1217,11 @@ impl ControlPlane {
         let fail_safe = self.staleness.fail_safe_demand;
 
         // 1. Refresh every tree's leaf inputs from estimates and the
-        //    servers' live PSU state. Estimates are independent per
-        //    server; each tree's refresh is independent per tree. A stale
-        //    server's demand is its fail-safe value, not a frozen
-        //    estimate. The refresh value-compares against the tree's
-        //    stored inputs, so unchanged leaves stay clean and the gather
-        //    below reuses their cached metrics.
+        //    servers' live PSU state. A stale server's demand is its
+        //    fail-safe value, not a frozen estimate. The refresh
+        //    value-compares against the tree's stored inputs, so unchanged
+        //    leaves stay clean and the gather below reuses their cached
+        //    metrics.
         let lanes = &self.lanes;
         let farm_ref = &*farm;
         let demand_of = |slot: usize| {
@@ -1333,12 +1235,8 @@ impl ControlPlane {
                 .or_else(|| lanes.telemetry[slot].as_ref().map(|snap| snap.total_ac))
                 .unwrap_or_else(|| server.sense().total_ac)
         };
-        if threads <= 1 {
-            self.ctx.demands.clear();
-            self.ctx.demands.extend((0..farm_ref.len()).map(demand_of));
-        } else {
-            self.ctx.demands = par_map_range(farm_ref.len(), threads, demand_of);
-        }
+        self.ctx.demands.clear();
+        self.ctx.demands.extend((0..farm_ref.len()).map(demand_of));
         drop(estimate_timer);
         if recorder.enabled() {
             let stale = lanes.stale_rounds.iter().filter(|&&ctr| ctr >= threshold);
@@ -1349,7 +1247,7 @@ impl ControlPlane {
             let overrides = &self.priority_overrides;
             let statics = &self.static_priorities;
             let demands = &self.ctx.demands;
-            let refresh = |tree: &mut ControlTree| {
+            for tree in &mut self.trees {
                 if !overrides.is_empty() {
                     tree.set_priorities_with(|server| {
                         overrides.get(&server).copied().unwrap_or_else(|| {
@@ -1375,23 +1273,12 @@ impl ControlPlane {
                         share,
                     }
                 });
-            };
-            if threads <= 1 {
-                for tree in &mut self.trees {
-                    refresh(tree);
-                }
-            } else {
-                par_for_each_mut(&mut self.trees, threads, refresh);
             }
         }
         drop(gather_timer);
 
-        // 2. Allocate (with or without the stranded-power pass). The trees
-        //    are independent within each allocation pass, so both the
-        //    plain path and the two SPO passes allocate concurrently; the
-        //    split *within* each tree and the SPO strand detection stay
-        //    sequential, keeping the round bit-identical for every thread
-        //    count.
+        // 2. Allocate (with or without the stranded-power pass), tree by
+        //    tree, into the round context's reusable gather states.
         let trees = &self.trees;
         let RoundContext {
             root_budgets,
@@ -1426,65 +1313,36 @@ impl ControlPlane {
             .1
             .as_ref();
         report.stranded_reclaimed = if self.config.spo {
-            if threads <= 1 {
-                optimize_stranded_power_in(
-                    trees,
-                    root_budgets,
-                    policy_dyn,
-                    allocator_dyn,
-                    spo,
-                    &mut report.allocations,
-                    recorder,
-                )
-            } else {
-                // The fused parallel SPO does both passes in one sweep;
-                // the whole sweep is attributed to the SPO span.
-                let spo_timer =
-                    PhaseTimer::start(recorder, RoundPhase::Spo.metric_name());
-                let outcome = optimize_stranded_power_par_with(
-                    trees,
-                    root_budgets,
-                    policy_dyn,
-                    allocator_dyn,
-                    threads,
-                );
-                drop(spo_timer);
-                recorder.observe(RoundPhase::Allocate.metric_name(), 0.0);
-                let total = outcome.total_stranded();
-                report.allocations = outcome.second;
-                total
-            }
+            optimize_stranded_power_in(
+                trees,
+                root_budgets,
+                policy_dyn,
+                allocator_dyn,
+                spo,
+                &mut report.allocations,
+                recorder,
+            )
         } else {
             let allocate_timer =
                 PhaseTimer::start(recorder, RoundPhase::Allocate.metric_name());
-            if threads <= 1 {
-                let n = trees.len();
-                if plain_states.len() != n {
-                    plain_states.clear();
-                    plain_states.resize_with(n, TreeRoundState::new);
-                }
-                if report.allocations.len() != n {
-                    report.allocations.clear();
-                    report.allocations.resize_with(n, Allocation::default);
-                }
-                for i in 0..n {
-                    trees[i].allocate_in(
-                        root_budgets[i],
-                        policy_dyn,
-                        allocator_dyn,
-                        &mut plain_states[i],
-                        None,
-                        &mut report.allocations[i],
-                    );
-                }
-            } else {
-                let pairs: Vec<(&ControlTree, Watts)> = trees
-                    .iter()
-                    .zip(root_budgets.iter().copied())
-                    .collect();
-                report.allocations = par_map(&pairs, threads, |&(t, b)| {
-                    t.allocate_with(b, policy_dyn, allocator_dyn)
-                });
+            let n = trees.len();
+            if plain_states.len() != n {
+                plain_states.clear();
+                plain_states.resize_with(n, TreeRoundState::new);
+            }
+            if report.allocations.len() != n {
+                report.allocations.clear();
+                report.allocations.resize_with(n, Allocation::default);
+            }
+            for i in 0..n {
+                trees[i].allocate_in(
+                    root_budgets[i],
+                    policy_dyn,
+                    allocator_dyn,
+                    &mut plain_states[i],
+                    None,
+                    &mut report.allocations[i],
+                );
             }
             drop(allocate_timer);
             // SPO is off: record an explicit zero so the phase series
@@ -1499,9 +1357,7 @@ impl ControlPlane {
             );
             // Dirty-tracking effectiveness: how many tree nodes the
             // incremental gather actually re-summarized vs skipped. The
-            // states accumulate across rounds, so report deltas. (The
-            // parallel paths rebuild allocations from scratch and keep no
-            // gather state; their totals simply stay flat.)
+            // states accumulate across rounds, so report deltas.
             let (summarized, skipped) = if self.config.spo {
                 spo.gather_stats()
             } else {
@@ -1637,7 +1493,7 @@ impl ControlPlane {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use capmaestro_server::ServerConfig;
+    use capmaestro_server::{PsuBank, ServerConfig};
     use capmaestro_units::Ratio;
     use capmaestro_topology::presets::{figure2_feed, figure7a_rig};
     use capmaestro_topology::Topology;
@@ -1716,6 +1572,66 @@ mod tests {
             ptr_before,
             "re-copy must reuse the entry's existing allocation"
         );
+    }
+
+    /// The fused per-second sweep equals `step_all` followed by
+    /// `sense_all`, bit for bit, every second: while servers settle, once
+    /// the event-driven sweep skips them, and after mid-run changes
+    /// re-activate them.
+    #[test]
+    fn step_and_sense_into_matches_step_then_sense() {
+        let topo = figure7a_rig();
+        let fig7a_farm = || {
+            let mut farm = Farm::new();
+            let demands = [414.0, 415.0, 433.0, 439.0];
+            let x_shares = [1.0, 0.0, 0.53, 0.46];
+            for (i, (id, _)) in topo.servers().enumerate() {
+                let x = x_shares[i];
+                let bank = if x == 0.0 || x == 1.0 {
+                    PsuBank::balanced(1, Ratio::new(0.94))
+                } else {
+                    PsuBank::dual(x, Ratio::new(0.94))
+                };
+                let mut server = Server::new(ServerConfig::paper_default().with_bank(bank));
+                server.set_offered_demand(Watts::new(demands[i]));
+                farm.insert(id, server);
+            }
+            farm
+        };
+        let (mut fused, mut reference) = (fig7a_farm(), fig7a_farm());
+        let sc = topo.server_by_name("SC").unwrap();
+        let sd = topo.server_by_name("SD").unwrap();
+        let mut buf = SenseBuffer::new();
+        for second in 0..90 {
+            for farm in [&mut fused, &mut reference] {
+                match second {
+                    40 => farm
+                        .get_mut(sd)
+                        .unwrap()
+                        .set_offered_demand(Watts::new(300.0)),
+                    60 => farm.get_mut(sc).unwrap().set_dc_cap(Watts::new(280.0)),
+                    _ => {}
+                }
+            }
+            fused.step_and_sense_into(Seconds::new(1.0), &mut buf);
+            reference.step_all(Seconds::new(1.0));
+            let expected = reference.sense_all();
+            assert_eq!(buf.entries().len(), expected.len());
+            for ((id_a, a), (id_b, b)) in buf.entries().iter().zip(&expected) {
+                assert_eq!(id_a, id_b, "second {second}");
+                let bits = |w: &Watts| w.as_f64().to_bits();
+                assert_eq!(bits(&a.total_ac), bits(&b.total_ac), "{id_a} at {second}");
+                assert_eq!(
+                    a.throttle.as_f64().to_bits(),
+                    b.throttle.as_f64().to_bits(),
+                    "{id_a} throttle at {second}"
+                );
+                assert_eq!(a.supply_ac.len(), b.supply_ac.len());
+                for (p_a, p_b) in a.supply_ac.iter().zip(&b.supply_ac) {
+                    assert_eq!(bits(p_a), bits(p_b), "{id_a} supply at {second}");
+                }
+            }
+        }
     }
 
     #[test]

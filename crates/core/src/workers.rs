@@ -66,8 +66,9 @@ pub struct DeploymentConfig {
     /// Consecutive rounds a cut node may miss reporting before the room
     /// worker stops trusting its frozen metrics and budgets it from
     /// fail-safe metrics (every leaf at its `cap_min`) instead. Rounds
-    /// 1..N are the stale-hold bridge.
-    pub stale_after_rounds: u64,
+    /// 1..N are the stale-hold bridge. Must be at least 1, as for
+    /// [`crate::plane::StalenessConfig::stale_after_rounds`].
+    pub stale_after_rounds: u32,
     /// How long [`WorkerDeployment::advance`] waits for the transport to
     /// finish stepping the simulated world. Irrelevant for the in-process
     /// transport (stepping is synchronous); bounds the wait for
@@ -121,7 +122,7 @@ impl DeploymentConfig {
 
     /// Returns the config with the stale-hold round budget replaced.
     #[must_use]
-    pub fn with_stale_after_rounds(mut self, rounds: u64) -> Self {
+    pub fn with_stale_after_rounds(mut self, rounds: u32) -> Self {
         self.stale_after_rounds = rounds;
         self
     }
@@ -680,7 +681,8 @@ impl WorkerDeployment {
     ///
     /// # Panics
     ///
-    /// Panics if `worker_count == 0` or tree/budget counts differ.
+    /// Panics if `worker_count == 0`, tree/budget counts differ, or
+    /// `config.stale_after_rounds` is zero.
     pub fn spawn(
         trees: Vec<ControlTree>,
         root_budgets: Vec<Watts>,
@@ -717,8 +719,10 @@ impl WorkerDeployment {
     /// # Panics
     ///
     /// Panics if the transport has no workers, the assignment count
-    /// differs from the transport's worker count, or tree/budget counts
-    /// differ.
+    /// differs from the transport's worker count, tree/budget counts
+    /// differ, or `config.stale_after_rounds` is zero — no report would
+    /// ever count as fresh, so every cut would be budgeted fail-safe
+    /// every round.
     pub fn with_transport(
         trees: Vec<ControlTree>,
         root_budgets: Vec<Watts>,
@@ -728,6 +732,10 @@ impl WorkerDeployment {
         transport: Box<dyn Transport>,
         config: DeploymentConfig,
     ) -> Self {
+        assert!(
+            config.stale_after_rounds >= 1,
+            "stale_after_rounds must be at least 1"
+        );
         assert!(
             transport.worker_count() > 0,
             "at least one rack worker is required"
@@ -985,10 +993,9 @@ impl WorkerDeployment {
         let mut failsafe: Vec<CutId> = Vec::new();
         for assignment in &self.assignments {
             for (cut, _) in &assignment.cuts {
-                let fresh_enough = self
-                    .last_report_round
-                    .get(cut)
-                    .is_some_and(|&r| round.saturating_sub(r) < self.config.stale_after_rounds);
+                let fresh_enough = self.last_report_round.get(cut).is_some_and(|&r| {
+                    round.saturating_sub(r) < u64::from(self.config.stale_after_rounds)
+                });
                 if fresh_enough {
                     if let Some(m) = self.last_cut_metrics.get(cut) {
                         out.insert(*cut, m.clone());
@@ -1775,6 +1782,20 @@ mod tests {
             farm,
             0,
             DeploymentConfig::default(),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "stale_after_rounds must be at least 1")]
+    fn zero_stale_after_rounds_panics() {
+        let (_, farm, trees) = fig2_shared_farm();
+        let _ = WorkerDeployment::spawn(
+            trees,
+            vec![Watts::new(1240.0)],
+            PolicyKind::NoPriority,
+            farm,
+            1,
+            DeploymentConfig::default().with_stale_after_rounds(0),
         );
     }
 

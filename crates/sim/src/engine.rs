@@ -13,7 +13,6 @@ use std::sync::Arc;
 
 use capmaestro_core::obs::{names, PhaseTimer};
 use capmaestro_core::oplog::ReconcilePlan;
-use capmaestro_core::par::par_map;
 use capmaestro_core::plane::{ControlPlane, Farm, RoundReport, SenseBuffer};
 use capmaestro_server::{SenseInterposer, SensorSnapshot, ServerRef};
 use capmaestro_topology::{BreakerSim, BreakerState, FeedId, NodeId, Phase, ServerId, SupplyIndex, Topology};
@@ -286,7 +285,7 @@ struct LoadIndex {
     slots: HashMap<(FeedId, NodeId, Phase), usize>,
     /// Per key: the contributing outlet indices, in outlet order. Each
     /// key's loads are summed in exactly this order, which keeps the
-    /// parallel accumulation bit-identical to the sequential push-up.
+    /// accumulation bit-identical to a push-up walk over the outlets.
     contributors: Vec<Vec<u32>>,
     /// Per limited node, in the trace's `node_load` slot order: the slots
     /// of its present phases in `Phase::ALL` order. Summing in this order
@@ -405,6 +404,11 @@ pub struct Engine {
     /// Incrementally synced from the farm's slab, so a quiescent fleet
     /// costs no snapshot copies and no allocations.
     snaps_buf: SenseBuffer,
+    /// Per-outlet supply loads of the current second (reusable buffer).
+    outlet_loads: Vec<Watts>,
+    /// Per-key loads of the current second, by [`LoadIndex`] slot
+    /// (reusable buffer; see [`Engine::node_loads`]).
+    loads: Vec<Watts>,
     /// Reusable snapshot buffer for the interposed 1 Hz sense path
     /// (kept separate from `snaps_buf` so each buffer tracks its own
     /// sync generation against the slab).
@@ -485,17 +489,10 @@ impl Engine {
             delivered_valid: false,
             staged_budgets: None,
             snaps_buf: SenseBuffer::new(),
+            outlet_loads: Vec::new(),
+            loads: Vec::new(),
             sense_buf: SenseBuffer::new(),
         }
-    }
-
-    /// Sets how many threads the per-second hot path (stepping, sensing,
-    /// load accumulation, trace recording, and the control plane's
-    /// estimate phase) fans out across. The simulation is bit-identical
-    /// for every thread count; see [`Farm::set_parallelism`].
-    pub fn set_parallelism(&mut self, threads: usize) -> &mut Self {
-        self.farm.set_parallelism(threads);
-        self
     }
 
     /// Enables or disables the farm's event-driven stepping (on by
@@ -783,35 +780,30 @@ impl Engine {
         }
     }
 
-    /// Per-key load right now, indexed by [`LoadIndex`] slot: the sum of
-    /// supply powers at outlet descendants, kept per phase because breaker
-    /// ratings are per phase. The per-outlet loads are cheap snapshot
-    /// lookups; the per-key sums fan out across threads (keys are
-    /// disjoint, and each key sums its contributions in outlet order, so
-    /// the result is bit-identical for every thread count).
-    fn node_loads(&self, snaps: &[(ServerId, SensorSnapshot)]) -> Vec<Watts> {
-        let outlet_loads: Vec<Watts> = self
-            .load_index
-            .outlets
-            .iter()
-            .map(|&(slot, supply)| {
-                slot.and_then(|s| {
-                    snaps[s as usize].1.supply_ac.get(supply as usize).copied()
-                })
+    /// Writes the per-key load right now into `self.loads`, indexed by
+    /// [`LoadIndex`] slot: the sum of supply powers at outlet descendants,
+    /// kept per phase because breaker ratings are per phase. The
+    /// per-outlet loads are cheap snapshot lookups; each key sums its
+    /// contributions in outlet order. Both buffers are reused, so a
+    /// steady second allocates nothing here.
+    fn node_loads(&mut self, snaps: &[(ServerId, SensorSnapshot)]) {
+        let index = &self.load_index;
+        let outlet_load = |&(slot, supply): &(Option<u32>, u8)| {
+            slot.and_then(|s| snaps[s as usize].1.supply_ac.get(supply as usize).copied())
                 .unwrap_or(Watts::ZERO)
-            })
-            .collect();
-        par_map(
-            &self.load_index.contributors,
-            self.farm.parallelism(),
-            |outlets| {
-                let mut total = Watts::ZERO;
-                for &oi in outlets {
-                    total += outlet_loads[oi as usize];
-                }
-                total
-            },
-        )
+        };
+        self.outlet_loads.clear();
+        self.outlet_loads
+            .extend(index.outlets.iter().map(outlet_load));
+        let outlet_loads = &self.outlet_loads;
+        self.loads.clear();
+        self.loads.extend(index.contributors.iter().map(|outlets| {
+            let mut total = Watts::ZERO;
+            for &oi in outlets {
+                total += outlet_loads[oi as usize];
+            }
+            total
+        }));
     }
 
     /// Appends one second to every series, by slot: the sweep is in farm
@@ -939,7 +931,8 @@ impl Engine {
             // marked changed — a converged fleet costs no copies.
             let mut snaps = std::mem::take(&mut self.snaps_buf);
             self.farm.step_and_sense_into(Seconds::new(1.0), &mut snaps);
-            let loads = self.node_loads(snaps.entries());
+            self.node_loads(snaps.entries());
+            let loads = std::mem::take(&mut self.loads);
             let mut tripped_now: Vec<(FeedId, NodeId, Phase)> = Vec::new();
             for ((feed, node, phase), sim) in &mut self.breakers {
                 let load = self
@@ -1013,6 +1006,7 @@ impl Engine {
 
             // Record.
             self.record(snaps.entries(), &loads);
+            self.loads = loads;
             self.snaps_buf = snaps;
             self.time_s += 1;
             self.trace.seconds = self.time_s;
